@@ -217,7 +217,7 @@ mod tests {
         // mark that link saturated in the group-shared view
         let mut flags = vec![false; topo.params().global_links_per_group() as usize];
         flags[min_link as usize] = true;
-        r.pb_mut().install_group(flags);
+        r.pb_mut().install_group_from(&flags);
         let mut rng = DeterministicRng::new(1);
         let d = decide(&RoutingConfig::default(), &r, Port(0), &p, &mut rng);
         assert_eq!(d.kind, DecisionKind::NonminimalGlobal);

@@ -79,11 +79,6 @@ impl EctnState {
         *c -= 1;
     }
 
-    /// Snapshot of the partial array, as broadcast to the rest of the group.
-    pub fn partial_snapshot(&self) -> Vec<u32> {
-        self.partial.clone()
-    }
-
     /// Add this router's partial counters into `acc` element-wise
     /// (allocation-free building block for the group broadcast).
     ///
@@ -96,23 +91,9 @@ impl EctnState {
         }
     }
 
-    /// Install a freshly combined array (the sum of all partial snapshots of
-    /// the group, computed at broadcast time).
-    ///
-    /// # Panics
-    /// Panics if the length does not match the number of global links.
-    pub fn install_combined(&mut self, combined: Vec<u32>) {
-        assert_eq!(
-            combined.len(),
-            self.combined.len(),
-            "combined array size mismatch"
-        );
-        self.combined = combined;
-    }
-
-    /// Install a freshly combined array by copying from a shared slice
-    /// (allocation-free variant of [`EctnState::install_combined`], used by
-    /// the simulator's periodic broadcast).
+    /// Install a freshly combined array (the sum of all partial arrays of
+    /// the group, computed at broadcast time) by copying from a shared
+    /// slice.
     ///
     /// # Panics
     /// Panics if the length does not match the number of global links.
@@ -183,23 +164,6 @@ impl EctnState {
     }
 }
 
-/// Sum a set of partial snapshots into a combined array, as the broadcast
-/// logic of the simulator does once per update period for every group.
-pub fn combine_partials<'a>(partials: impl IntoIterator<Item = &'a [u32]>) -> Vec<u32> {
-    let mut iter = partials.into_iter();
-    let first = match iter.next() {
-        Some(f) => f.to_vec(),
-        None => return Vec::new(),
-    };
-    iter.fold(first, |mut acc, p| {
-        assert_eq!(acc.len(), p.len(), "partial arrays must have equal length");
-        for (a, b) in acc.iter_mut().zip(p.iter()) {
-            *a += b;
-        }
-        acc
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,7 +199,7 @@ mod tests {
         e.increment_partial(1);
         // combined still reflects the last broadcast (zero)
         assert_eq!(e.combined(1), 0);
-        e.install_combined(vec![5, 7, 0, 1]);
+        e.install_combined_from(&[5, 7, 0, 1]);
         assert_eq!(e.combined(1), 7);
         assert_eq!(e.combined_array(), &[5, 7, 0, 1]);
         // partial increments do not leak into combined until next install
@@ -247,17 +211,30 @@ mod tests {
     #[should_panic(expected = "size mismatch")]
     fn combined_size_mismatch_panics() {
         let mut e = EctnState::new(4);
-        e.install_combined(vec![1, 2]);
+        e.install_combined_from(&[1, 2]);
     }
 
     #[test]
-    fn combine_partials_sums_elementwise() {
-        let a = vec![1, 0, 2];
-        let b = vec![0, 3, 1];
-        let c = vec![1, 1, 1];
-        let combined = combine_partials([a.as_slice(), b.as_slice(), c.as_slice()]);
-        assert_eq!(combined, vec![2, 4, 4]);
-        assert!(combine_partials(std::iter::empty::<&[u32]>()).is_empty());
+    fn add_partial_to_sums_elementwise() {
+        let mut routers: Vec<EctnState> = (0..3).map(|_| EctnState::new(3)).collect();
+        for (r, counts) in routers.iter_mut().zip([[1, 0, 2], [0, 3, 1], [1, 1, 1]]) {
+            for (link, &n) in counts.iter().enumerate() {
+                for _ in 0..n {
+                    r.increment_partial(link as u32);
+                }
+            }
+        }
+        let mut acc = [0; 3];
+        for r in &routers {
+            r.add_partial_to(&mut acc);
+        }
+        assert_eq!(acc, [2, 4, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "size mismatch")]
+    fn add_partial_to_size_mismatch_panics() {
+        EctnState::new(4).add_partial_to(&mut [0; 3]);
     }
 
     #[test]
@@ -269,10 +246,12 @@ mod tests {
         routers[1].increment_partial(0);
         routers[1].increment_partial(2);
         routers[3].increment_partial(5);
-        let snapshots: Vec<Vec<u32>> = routers.iter().map(|r| r.partial_snapshot()).collect();
-        let combined = combine_partials(snapshots.iter().map(|s| s.as_slice()));
+        let mut combined = [0; 6];
+        for r in &routers {
+            r.add_partial_to(&mut combined);
+        }
         for r in routers.iter_mut() {
-            r.install_combined(combined.clone());
+            r.install_combined_from(&combined);
         }
         assert_eq!(routers[2].combined(0), 2);
         assert_eq!(routers[2].combined(2), 1);

@@ -372,20 +372,6 @@ impl Router {
         }
     }
 
-    /// `(port, vc)` pairs whose head packet has not yet been registered in
-    /// the contention counters.
-    pub fn unregistered_heads(&self) -> Vec<(Port, VcId)> {
-        let mut out = Vec::new();
-        for (p, input) in self.inputs.iter().enumerate() {
-            for v in 0..input.num_vcs() {
-                if input.vc(v).head_needs_registration() {
-                    out.push((Port(p as u32), VcId(v as u8)));
-                }
-            }
-        }
-        out
-    }
-
     /// `(port, vc)` pairs that currently hold at least one packet.
     pub fn occupied_vcs(&self) -> Vec<(Port, VcId)> {
         let mut out = Vec::new();
@@ -503,14 +489,6 @@ impl Router {
                 sent.push((Port(p as u32), packet, vc, tail_at));
             }
         }
-    }
-
-    /// Try to start transmission on every output port (allocating
-    /// convenience wrapper around [`Router::transmit_outputs_into`]).
-    pub fn transmit_outputs(&mut self, now: Cycle) -> Vec<(Port, Packet, VcId, Cycle)> {
-        let mut sent = Vec::new();
-        self.transmit_outputs_into(now, &mut sent);
-        sent
     }
 
     /// Whether the router holds no traffic at all: every input VC empty and
@@ -664,6 +642,14 @@ mod tests {
         Router::new(RouterId(0), topo, NetworkConfig::fast_test())
     }
 
+    /// Transmit into a fresh buffer (what the simulator's reusable one
+    /// holds after a call).
+    fn transmit(r: &mut Router, now: Cycle) -> Vec<(Port, Packet, VcId, Cycle)> {
+        let mut sent = Vec::new();
+        r.transmit_outputs_into(now, &mut sent);
+        sent
+    }
+
     fn packet(id: u64, dst: u32) -> Packet {
         Packet::new(PacketId(id), NodeId(0), NodeId(dst), 8, 0)
     }
@@ -703,12 +689,14 @@ mod tests {
         // a packet arrives on local input port 2, vc 0
         r.receive_packet(Port(2), VcId(0), packet(1, 40));
         assert_eq!(r.queued_packets(), 1);
-        assert_eq!(r.unregistered_heads(), vec![(Port(2), VcId(0))]);
+        assert!(r.has_unregistered_heads());
+        assert!(r.input(Port(2)).vc(0).head_needs_registration());
         // register its minimal output (say global port 5) and an ECtN link
         r.register_head(Port(2), VcId(0), Port(5), Some(3));
         assert_eq!(r.contention().get(Port(5)), 1);
         assert_eq!(r.ectn().partial(3), 1);
-        assert!(r.unregistered_heads().is_empty());
+        assert!(!r.has_unregistered_heads());
+        assert!(!r.input(Port(2)).vc(0).head_needs_registration());
         // allocate it to output 5, downstream vc 0
         let req = AllocationRequest {
             input_port: Port(2),
@@ -731,9 +719,9 @@ mod tests {
             r.output(Port(5)).credit_capacity(VcId(0)) - 8
         );
         // the packet is staged; after the pipeline it transmits
-        assert!(r.transmit_outputs(now).is_empty(), "pipeline not finished");
+        assert!(transmit(&mut r, now).is_empty(), "pipeline not finished");
         let pipeline = r.config().latencies.router_pipeline as Cycle;
-        let sent = r.transmit_outputs(now + pipeline);
+        let sent = transmit(&mut r, now + pipeline);
         assert_eq!(sent.len(), 1);
         let (port, pkt, vc, tail_at) = &sent[0];
         assert_eq!(*port, Port(5));
@@ -802,7 +790,7 @@ mod tests {
             assert_eq!(grants.len(), 1, "grant {i} should succeed");
             r.apply_grant(&grants[0], 0);
             // drain the output buffer so the output buffer is not the limit
-            let _ = r.transmit_outputs(100 + i as Cycle * 20);
+            let _ = transmit(&mut r, 100 + i as Cycle * 20);
         }
         // the 5th packet cannot be granted: no credits left on vc0
         r.receive_packet(Port(3), VcId(0), packet(99, 2));
@@ -850,13 +838,13 @@ mod tests {
         r.set_link_up(Port(2), false);
         let pipeline = r.config().latencies.router_pipeline as Cycle;
         assert!(
-            r.transmit_outputs(pipeline).is_empty(),
+            transmit(&mut r, pipeline).is_empty(),
             "staged packets wait while the link is down"
         );
         assert!(!r.is_idle(), "a blocked packet keeps the router busy");
         r.set_link_up(Port(2), true);
         assert!(!r.any_link_down());
-        let sent = r.transmit_outputs(pipeline + 1);
+        let sent = transmit(&mut r, pipeline + 1);
         assert_eq!(sent.len(), 1, "restored links resume transmission");
     }
 

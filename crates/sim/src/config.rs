@@ -12,29 +12,21 @@ use crate::churn::ChurnModel;
 use crate::fault::FaultPlan;
 use crate::scenario::Scenario;
 
-/// Which simulation-kernel implementation [`crate::Network`] runs.
+/// How many shards [`crate::Network`] splits its per-cycle phases into.
 ///
-/// Every kernel is bit-for-bit deterministic and produces identical results
-/// for identical configurations and seeds — including
-/// [`KernelMode::Parallel`] at *any* worker count (guarded by
-/// `tests/determinism.rs` and `tests/kernel_equivalence.rs`); they differ
-/// only in speed.
+/// There is one kernel; the mode only sets its worker count. Results are
+/// bit-for-bit identical at any worker count (guarded by
+/// `tests/kernel_equivalence.rs` against the pinned corpora); only
+/// wall-clock time differs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum KernelMode {
-    /// Time-wheel event queue, activity-gated router iteration,
-    /// allocation-free per-cycle loop. The default.
+    /// One shard, run inline on the calling thread. The default.
     #[default]
     Optimized,
-    /// The original kernel: binary-heap event queue and a full scan of every
-    /// router every cycle. Kept as the baseline for `BENCH_kernel.json` and
-    /// the determinism cross-checks.
-    Legacy,
-    /// The optimized kernel with its phases sharded across a persistent
-    /// worker pool (see `df-sim`'s `parallel` module): PB/ECtN exchange by
-    /// group, routing + allocation and link transmission by active router,
-    /// with barriers between phases and cross-router effects merged in
-    /// ascending router order — results are bit-identical to
-    /// [`KernelMode::Optimized`] for any worker count.
+    /// The phases sharded across a persistent worker pool (see `df-sim`'s
+    /// `parallel` module): PB/ECtN exchange by group, routing + allocation
+    /// and link transmission by active router, with barriers between phases
+    /// and cross-router effects merged in ascending router order.
     Parallel {
         /// Total shards (the main thread runs one of them; `workers - 1`
         /// threads are spawned). `0` means auto-detect from the host's
@@ -51,60 +43,53 @@ pub const MAX_PARALLEL_WORKERS: usize = 64;
 
 impl KernelMode {
     /// The kernel selected by the `DF_SIM_KERNEL` environment variable
-    /// (case-insensitive):
+    /// (case-insensitive, surrounding whitespace ignored):
     ///
-    /// * `"legacy"` — [`KernelMode::Legacy`],
+    /// * unset, `""` or `"optimized"` — [`KernelMode::Optimized`],
     /// * `"parallel"` — [`KernelMode::Parallel`] with auto-detected workers,
     /// * `"parallel:N"` / `"parallel=N"` — [`KernelMode::Parallel`] with
-    ///   `N` workers,
-    /// * anything else, including unset — [`KernelMode::Optimized`].
+    ///   `N` workers.
     ///
-    /// Used as the builder default so CI can run the whole test suite under
-    /// any kernel without touching any test.
+    /// Anything else is a [`ConfigError::Kernel`] naming the value: a typo
+    /// must not silently turn a CI leg into a duplicate of the default one.
     ///
-    /// # Panics
-    /// Panics on a *malformed* parallel spec (`"parallel:2x"`,
-    /// `"parallel 4"`, …): a typo must not silently demote an entire CI leg
-    /// to the optimized kernel.
-    pub fn from_env() -> Self {
+    /// Used as the builder default when no explicit
+    /// [`SimulationConfigBuilder::kernel`] is given, so CI can run the whole
+    /// test suite at another worker count without touching any test.
+    pub fn from_env() -> Result<Self, ConfigError> {
         match std::env::var("DF_SIM_KERNEL") {
             Ok(v) => Self::parse_env_value(&v),
-            _ => KernelMode::Optimized,
+            Err(std::env::VarError::NotPresent) => Ok(KernelMode::Optimized),
+            Err(e) => Err(ConfigError::Kernel(format!("DF_SIM_KERNEL: {e}"))),
         }
     }
 
-    /// Parse one `DF_SIM_KERNEL` value (see [`KernelMode::from_env`] for
-    /// the accepted forms and the panic on malformed parallel specs).
-    fn parse_env_value(v: &str) -> Self {
+    /// Parse one `DF_SIM_KERNEL` value (see [`KernelMode::from_env`]).
+    fn parse_env_value(v: &str) -> Result<Self, ConfigError> {
         let lower = v.trim().to_ascii_lowercase();
-        if lower == "legacy" {
-            KernelMode::Legacy
-        } else if lower == "parallel" {
-            KernelMode::Parallel { workers: 0 }
-        } else if lower.starts_with("parallel") {
-            let workers = lower
-                .strip_prefix("parallel:")
-                .or_else(|| lower.strip_prefix("parallel="))
-                .and_then(|n| n.parse::<usize>().ok())
-                .unwrap_or_else(|| {
-                    panic!(
-                        "DF_SIM_KERNEL={v:?} looks like a parallel spec but is malformed; \
-                         use \"parallel\", \"parallel:N\" or \"parallel=N\""
-                    )
-                });
-            KernelMode::Parallel { workers }
-        } else {
-            KernelMode::Optimized
+        let workers = lower
+            .strip_prefix("parallel:")
+            .or_else(|| lower.strip_prefix("parallel="))
+            .map(|n| n.parse::<usize>());
+        match (lower.as_str(), workers) {
+            ("" | "optimized", _) => Ok(KernelMode::Optimized),
+            ("parallel", _) => Ok(KernelMode::Parallel { workers: 0 }),
+            (_, Some(Ok(workers))) => Ok(KernelMode::Parallel { workers }),
+            _ => Err(ConfigError::Kernel(format!(
+                "DF_SIM_KERNEL={v:?} is not a kernel; use \"optimized\", \"parallel\", \
+                 \"parallel:N\" or \"parallel=N\""
+            ))),
         }
     }
 
-    /// The effective shard count this mode runs with: 1 for the sequential
-    /// kernels, the explicit worker count for [`KernelMode::Parallel`], and
-    /// the host's available parallelism (capped at 8) when that count is 0
-    /// (auto). Never affects results — only how the work is scheduled.
+    /// The effective shard count this mode runs with: 1 for
+    /// [`KernelMode::Optimized`], the explicit worker count for
+    /// [`KernelMode::Parallel`], and the host's available parallelism
+    /// (capped at 8) when that count is 0 (auto). Never affects results —
+    /// only how the work is scheduled.
     pub fn resolved_workers(&self) -> usize {
         match *self {
-            KernelMode::Optimized | KernelMode::Legacy => 1,
+            KernelMode::Optimized => 1,
             KernelMode::Parallel { workers: 0 } => std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1)
@@ -130,7 +115,8 @@ pub enum ConfigError {
     MeasurementWindow,
     /// The `topology` field is invalid for simulation.
     Topology(String),
-    /// The `kernel` field requests an absurd worker count.
+    /// The `kernel` field requests an absurd worker count, or
+    /// `DF_SIM_KERNEL` names no kernel.
     Kernel(String),
     /// The `faults` field does not validate against the topology.
     Faults(String),
@@ -221,8 +207,7 @@ pub struct SimulationConfig {
     pub warmup_cycles: u64,
     /// Measurement window length in cycles.
     pub measurement_cycles: u64,
-    /// Simulation-kernel implementation (optimized time-wheel kernel by
-    /// default; the legacy kernel exists for benchmarking and cross-checks).
+    /// Worker count of the simulation kernel (one shard by default).
     pub kernel: KernelMode,
 }
 
@@ -332,7 +317,7 @@ pub struct SimulationConfigBuilder {
     seed: u64,
     warmup_cycles: u64,
     measurement_cycles: u64,
-    kernel: KernelMode,
+    kernel: Option<KernelMode>,
 }
 
 impl Default for SimulationConfigBuilder {
@@ -352,7 +337,7 @@ impl Default for SimulationConfigBuilder {
             seed: 0,
             warmup_cycles: 1_000,
             measurement_cycles: 2_000,
-            kernel: KernelMode::from_env(),
+            kernel: None,
         }
     }
 }
@@ -477,16 +462,25 @@ impl SimulationConfigBuilder {
         self
     }
 
-    /// Select the simulation-kernel implementation.
+    /// Set the kernel's worker count. Without this call,
+    /// [`build`](Self::build) reads `DF_SIM_KERNEL` (see
+    /// [`KernelMode::from_env`]); an explicit kernel always wins over the
+    /// environment.
     pub fn kernel(mut self, kernel: KernelMode) -> Self {
-        self.kernel = kernel;
+        self.kernel = Some(kernel);
         self
     }
 
     /// Finalise and validate the configuration. An attached churn model is
     /// lowered here: its generated fault events are merged into the fault
     /// plan and the combined plan is validated like any hand-written one.
+    /// Without an explicit [`kernel`](Self::kernel), an unrecognised
+    /// `DF_SIM_KERNEL` value is a [`ConfigError::Kernel`].
     pub fn build(self) -> Result<SimulationConfig, ConfigError> {
+        let kernel = match self.kernel {
+            Some(kernel) => kernel,
+            None => KernelMode::from_env()?,
+        };
         let routing_config = self.routing_config.unwrap_or_else(|| {
             RoutingConfig::calibrated_for(&self.topology.layout(), &self.network.vcs)
         });
@@ -512,7 +506,7 @@ impl SimulationConfigBuilder {
             seed: self.seed,
             warmup_cycles: self.warmup_cycles,
             measurement_cycles: self.measurement_cycles,
-            kernel: self.kernel,
+            kernel,
         };
         config.validate()?;
         Ok(config)
@@ -672,49 +666,42 @@ mod tests {
 
     #[test]
     fn kernel_env_values_parse() {
-        assert_eq!(KernelMode::parse_env_value("legacy"), KernelMode::Legacy);
-        assert_eq!(KernelMode::parse_env_value("LEGACY"), KernelMode::Legacy);
-        assert_eq!(
-            KernelMode::parse_env_value("parallel"),
-            KernelMode::Parallel { workers: 0 }
-        );
-        assert_eq!(
-            KernelMode::parse_env_value(" Parallel "),
-            KernelMode::Parallel { workers: 0 }
-        );
-        assert_eq!(
-            KernelMode::parse_env_value("parallel:4"),
-            KernelMode::Parallel { workers: 4 }
-        );
-        assert_eq!(
-            KernelMode::parse_env_value("parallel=2"),
-            KernelMode::Parallel { workers: 2 }
-        );
-        // non-parallel strings keep the documented optimized fallback
-        assert_eq!(KernelMode::parse_env_value(""), KernelMode::Optimized);
-        assert_eq!(
-            KernelMode::parse_env_value("optimized"),
-            KernelMode::Optimized
-        );
-        assert_eq!(KernelMode::parse_env_value("wheel"), KernelMode::Optimized);
+        let parse = KernelMode::parse_env_value;
+        assert_eq!(parse(""), Ok(KernelMode::Optimized));
+        assert_eq!(parse("optimized"), Ok(KernelMode::Optimized));
+        assert_eq!(parse(" Optimized "), Ok(KernelMode::Optimized));
+        assert_eq!(parse("parallel"), Ok(KernelMode::Parallel { workers: 0 }));
+        assert_eq!(parse(" Parallel "), Ok(KernelMode::Parallel { workers: 0 }));
+        assert_eq!(parse("parallel:4"), Ok(KernelMode::Parallel { workers: 4 }));
+        assert_eq!(parse("parallel=2"), Ok(KernelMode::Parallel { workers: 2 }));
+        // names of no kernel are errors, never a silent optimized fallback
+        for bad in ["legacy", "LEGACY", "wheel", "paralel:2"] {
+            match parse(bad) {
+                Err(ConfigError::Kernel(msg)) => assert!(msg.contains(bad), "{msg}"),
+                other => panic!("{bad:?} must be rejected, got {other:?}"),
+            }
+        }
     }
 
     #[test]
-    #[should_panic(expected = "malformed")]
-    fn malformed_parallel_env_specs_abort_loudly() {
-        let _ = KernelMode::parse_env_value("parallel:2x");
+    fn malformed_parallel_env_specs_are_rejected() {
+        assert!(matches!(
+            KernelMode::parse_env_value("parallel:2x"),
+            Err(ConfigError::Kernel(_))
+        ));
     }
 
     #[test]
-    #[should_panic(expected = "malformed")]
-    fn parallel_env_spec_with_wrong_separator_aborts() {
-        let _ = KernelMode::parse_env_value("parallel-4");
+    fn parallel_env_spec_with_wrong_separator_is_rejected() {
+        assert!(matches!(
+            KernelMode::parse_env_value("parallel-4"),
+            Err(ConfigError::Kernel(_))
+        ));
     }
 
     #[test]
     fn parallel_kernel_mode_resolves_workers() {
         assert_eq!(KernelMode::Optimized.resolved_workers(), 1);
-        assert_eq!(KernelMode::Legacy.resolved_workers(), 1);
         assert_eq!(KernelMode::Parallel { workers: 3 }.resolved_workers(), 3);
         // auto-detection picks at least one shard, bounded by the cap
         let auto = KernelMode::Parallel { workers: 0 }.resolved_workers();

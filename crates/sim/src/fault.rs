@@ -68,9 +68,9 @@
 //! credits ledgered, which is exactly what the conservation counters
 //! report. Resuming stepping applies the remaining events on schedule.
 //!
-//! Fault application is main-thread work in every kernel, so fault runs stay
-//! **bit-identical across the optimized, legacy and parallel kernels at any
-//! worker count** (guarded by `tests/kernel_equivalence.rs`).
+//! Fault application is main-thread work at any worker count, so fault runs
+//! stay **bit-identical at any worker count** (guarded by
+//! `tests/kernel_equivalence.rs`).
 
 use df_model::Cycle;
 use df_topology::{GroupId, NodeId, Port, PortClass, PortLayout, PortPeer, RouterId, Topology};

@@ -24,10 +24,10 @@
 //!
 //! Every engine mutation happens on the main thread: delivery attribution
 //! in step 1 of [`crate::network::Network::step`] and advance/enqueue in
-//! step 2 — both of which are sequential in **every** kernel (optimized,
-//! legacy, parallel at any worker count). Ranks are visited in ascending
-//! rank order and the lowering itself is a pure function of the workload,
-//! so task runs inherit the simulator's bit-identity contract unchanged.
+//! step 2 — both of which are sequential at **any** worker count. Ranks are
+//! visited in ascending rank order and the lowering itself is a pure
+//! function of the workload, so task runs inherit the simulator's
+//! bit-identity contract unchanged.
 //!
 //! When the configuration carries no workload the engine does not exist
 //! and the packet-level simulator is byte-for-byte unaffected.

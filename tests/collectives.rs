@@ -13,9 +13,9 @@
 //!    routing cell. The configurations deliberately do not set a
 //!    [`KernelMode`], so CI replays the table under every kernel — which
 //!    must be bit-for-bit identical.
-//! 3. **Cross-kernel bit-identity** — the optimized, legacy and parallel
-//!    (1, 2 and 4 workers) kernels are compared directly on the same
-//!    workloads.
+//! 3. **Cross-kernel bit-identity** — the optimized kernel is compared
+//!    with the parallel kernel at 1, 2 and 4 workers on the same workloads,
+//!    and with pinned fingerprints.
 //! 4. **Snapshot/resume mid-collective** — a snapshot taken with sends
 //!    outstanding and a partially executed script resumes bit-identically,
 //!    under the same kernel and across kernels.
@@ -200,15 +200,27 @@ fn regenerate_collective_corpus() {
 // 3. cross-kernel bit-identity
 // ---------------------------------------------------------------------------
 
+/// `(workload, routing, completion, delivered, stalls, latency bits)` of the
+/// optimized runs below, pinned while a second, heap-queue/full-scan kernel
+/// still reproduced them bit for bit.
+#[rustfmt::skip]
+const PINNED_CROSS_KERNEL: &[(&str, &str, u64, u64, u64, u64)] = &[
+    ("all-to-allx8", "Base", 389, 112, 2964, 0x4048800000000000),
+    ("all-to-allx8", "PB", 620, 112, 4764, 0x404E9B6DB6DB6DB9),
+    ("all-reduce-ringx8", "Base", 434, 224, 3248, 0x4035000000000003),
+    ("all-reduce-ringx8", "PB", 434, 224, 3248, 0x4035000000000003),
+    ("all-reduce-rdx12", "Base", 297, 64, 2976, 0x4042E60000000000),
+    ("all-reduce-rdx12", "PB", 310, 64, 3092, 0x4043240000000000),
+];
+
 #[test]
 fn collectives_are_bit_identical_across_kernels() {
     let kernels = [
-        KernelMode::Optimized,
-        KernelMode::Legacy,
         KernelMode::Parallel { workers: 1 },
         KernelMode::Parallel { workers: 2 },
         KernelMode::Parallel { workers: 4 },
     ];
+    let mut expected = PINNED_CROSS_KERNEL.iter();
     for workload in [
         TaskWorkload::single(CollectiveKind::AllToAll, 8, 2)
             .with_placement(RankPlacement::GroupSpread),
@@ -223,6 +235,13 @@ fn collectives_are_bit_identical_across_kernels() {
             let mut cfg = collective_config(workload.clone(), routing);
             cfg.kernel = KernelMode::Optimized;
             let reference = collective_fingerprint(cfg.clone());
+            let &(ew, er, ed, edel, es, el) = expected.next().expect("one row per cell");
+            assert_eq!((ew, er), (workload.label().as_str(), routing.label()));
+            assert_eq!(
+                reference,
+                (ed, edel, es, el),
+                "{ew} under {er}: diverged from the pin"
+            );
             for kernel in kernels {
                 let mut k = cfg.clone();
                 k.kernel = kernel;
@@ -236,6 +255,7 @@ fn collectives_are_bit_identical_across_kernels() {
             }
         }
     }
+    assert!(expected.next().is_none(), "stale rows");
 }
 
 // ---------------------------------------------------------------------------
@@ -289,21 +309,19 @@ fn snapshot_mid_collective_resumes_bit_identically() {
     let restored = Network::restore(cfg.clone(), &bytes).expect("snapshot restores");
     assert_eq!(restored.snapshot(), bytes);
 
-    // kernel portability: finish the same snapshot under legacy and parallel
-    for kernel in [KernelMode::Legacy, KernelMode::Parallel { workers: 2 }] {
-        let mut k = cfg.clone();
-        k.kernel = kernel;
-        let mut n = Network::restore(k, &bytes).expect("snapshot restores under any kernel");
-        assert_eq!(
-            n.run_until_tasks_complete(200_000),
-            Some(done),
-            "{kernel:?} resumed to a different completion cycle"
-        );
-        assert_eq!(
-            n.metrics().delivered_packets_total(),
-            reference.metrics().delivered_packets_total()
-        );
-    }
+    // kernel portability: finish the same snapshot on two workers
+    let mut k = cfg.clone();
+    k.kernel = KernelMode::Parallel { workers: 2 };
+    let mut n = Network::restore(k, &bytes).expect("snapshot restores at any worker count");
+    assert_eq!(
+        n.run_until_tasks_complete(200_000),
+        Some(done),
+        "parallel(2) resumed to a different completion cycle"
+    );
+    assert_eq!(
+        n.metrics().delivered_packets_total(),
+        reference.metrics().delivered_packets_total()
+    );
 }
 
 // ---------------------------------------------------------------------------

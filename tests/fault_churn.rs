@@ -26,10 +26,11 @@ use golden_corpus::{base_builder, churn_fingerprint, churn_routings, churn_scena
 #[test]
 fn churn_corpus_is_bit_identical_across_all_three_kernels() {
     // ChurnModel lowering happens at config-build time and fault application
-    // plus flooding run on the main thread in every kernel, so a churn run's
-    // full fingerprint — drops, retargets, strandings, final cycle, latency
-    // bits — must be identical under the optimized, legacy and parallel
-    // kernels at several worker counts.
+    // plus flooding run on the main thread at any worker count, so a churn
+    // run's full fingerprint — drops, retargets, strandings, final cycle,
+    // latency bits — must be identical under the optimized kernel and the
+    // parallel kernel at several worker counts (and equal to GOLDEN_CHURN,
+    // which tests/scenario_matrix.rs checks).
     for scenario in churn_scenarios() {
         for routing in churn_routings() {
             let run = |kernel: KernelMode| {
@@ -42,13 +43,6 @@ fn churn_corpus_is_bit_identical_across_all_three_kernels() {
                 churn_fingerprint(cfg)
             };
             let reference = run(KernelMode::Optimized);
-            assert_eq!(
-                run(KernelMode::Legacy),
-                reference,
-                "{}/{}: legacy kernel diverged on the churn trajectory",
-                scenario.name,
-                routing.label()
-            );
             for workers in [1usize, 2, 4] {
                 assert_eq!(
                     run(KernelMode::Parallel { workers }),

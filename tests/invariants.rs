@@ -60,7 +60,7 @@ fn run_and_drain(
         load,
         cycles,
         seed,
-        KernelMode::from_env(),
+        KernelMode::from_env().expect("DF_SIM_KERNEL names a kernel"),
     )
 }
 

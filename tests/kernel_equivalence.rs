@@ -1,8 +1,8 @@
-//! Cross-kernel equality suite for the phase-parallel sharded kernel.
+//! Worker-count equality suite for the phase-parallel sharded kernel.
 //!
-//! The parallel kernel's contract is *bit-for-bit* equality with the
-//! sequential optimized kernel for every worker count. This suite checks it
-//! three ways:
+//! The kernel's contract is *bit-for-bit* equal results for every worker
+//! count, the single-shard `KernelMode::Optimized` included. This suite
+//! checks it three ways:
 //!
 //! 1. **Against the pinned corpus** — the full 56-combination routing ×
 //!    pattern golden table and the injector/phase golden table from
@@ -11,15 +11,18 @@
 //!    fingerprints must match the *committed* constants, not merely a fresh
 //!    sequential run — so a change that shifted every kernel in lockstep
 //!    would still be caught.
-//! 2. **Against both sequential kernels on richer workloads** — bursty and
-//!    ramp injectors and a multi-phase transient with a load override,
-//!    compared on an extended fingerprint (full latency histogram,
-//!    generated phits, in-flight count, final cycle) across Optimized,
-//!    Legacy and Parallel at several worker counts.
+//! 2. **Against the single-shard kernel and pinned values on richer
+//!    workloads** — bursty and ramp injectors and a multi-phase transient
+//!    with a load override, compared on an extended fingerprint (full
+//!    latency histogram, generated phits, in-flight count, final cycle)
+//!    between Optimized and Parallel at several worker counts. The
+//!    Optimized fingerprint is itself pinned to literals captured while a
+//!    second, heap-queue/full-scan kernel still reproduced it bit for bit.
 //! 3. **Worker-count independence on one configuration swept 1..=7** — any
 //!    pair of worker counts must agree with each other *and* with the
 //!    optimized kernel.
 
+use contention_dragonfly::engine::codec::fnv1a64;
 use contention_dragonfly::prelude::*;
 
 #[path = "common/golden_corpus.rs"]
@@ -228,7 +231,7 @@ fn parallel_reproduces_the_pinned_churn_corpus() {
 }
 
 // ---------------------------------------------------------------------------
-// Extended fingerprints across all three kernels
+// Extended fingerprints across worker counts
 // ---------------------------------------------------------------------------
 
 /// Everything that must match between two equivalent runs — a superset of
@@ -247,6 +250,47 @@ struct RichFingerprint {
     misroute_global_bits: u64,
     histogram_bins: Vec<u64>,
     drained: bool,
+}
+
+/// A [`RichFingerprint`] as pinned below: every scalar field in declaration
+/// order, with the latency histogram folded into its FNV-1a digest.
+type Pin = (
+    u64,
+    u64,
+    u64,
+    u64,
+    u64,
+    usize,
+    u64,
+    u64,
+    u64,
+    u64,
+    u64,
+    bool,
+);
+
+impl RichFingerprint {
+    fn pin(&self) -> Pin {
+        let bins: Vec<u8> = self
+            .histogram_bins
+            .iter()
+            .flat_map(|b| b.to_le_bytes())
+            .collect();
+        (
+            self.delivered_window,
+            self.delivered_total,
+            self.generated_phits,
+            self.final_cycle,
+            self.in_flight,
+            self.pending_events,
+            self.latency_bits,
+            self.hops_bits,
+            self.p99_bits,
+            self.misroute_global_bits,
+            fnv1a64(&bins),
+            self.drained,
+        )
+    }
 }
 
 fn rich_fingerprint(cfg: SimulationConfig) -> RichFingerprint {
@@ -290,12 +334,20 @@ fn injector_builder(injection: InjectionKind) -> df_sim::SimulationConfigBuilder
         .seed(21)
 }
 
+/// `(injection, pin)` of the optimized run for the bursty and ramp
+/// injectors.
+#[rustfmt::skip]
+const PINNED_INJECTORS: &[(&str, Pin)] = &[
+    ("bursty(40on/60off)", (1003, 1835, 14680, 969, 0, 0, 0x4057AF37E574A466, 0x4007D10971944A91, 0x406A400000000000, 0x3FD4FE369EC177B4, 0x70B12C2D843DBED6, true)),
+    ("ramp(20%->500)", (971, 1345, 10760, 989, 0, 0, 0x4058F8AF0F8E1AE5, 0x400882C4AE0194F1, 0x406B800000000000, 0x3FD5AF530C642F75, 0x6A2F8B07B6823FEC, true)),
+];
+
 #[test]
-fn parallel_matches_optimized_and_legacy_on_bursty_and_ramp_injection() {
+fn parallel_matches_optimized_and_pins_on_bursty_and_ramp_injection() {
     // ECtN routing (periodic broadcast) + a UN→ADV+1 switch + non-Bernoulli
     // injectors: exercises every parallel phase including the group-sharded
     // ECtN exchange and the drain fast-forward guard.
-    for injection in [
+    let injections = [
         InjectionKind::Bursty {
             mean_on: 40.0,
             mean_off: 60.0,
@@ -304,23 +356,16 @@ fn parallel_matches_optimized_and_legacy_on_bursty_and_ramp_injection() {
             start_fraction: 0.2,
             ramp_cycles: 500,
         },
-    ] {
+    ];
+    for (injection, &(label, pin)) in injections.into_iter().zip(PINNED_INJECTORS) {
+        assert_eq!(injection.label(), label, "table order drifted");
         let optimized = rich_fingerprint(
             injector_builder(injection)
                 .kernel(KernelMode::Optimized)
                 .build()
                 .unwrap(),
         );
-        let legacy = rich_fingerprint(
-            injector_builder(injection)
-                .kernel(KernelMode::Legacy)
-                .build()
-                .unwrap(),
-        );
-        assert_eq!(
-            optimized, legacy,
-            "{injection:?}: sequential kernels diverge"
-        );
+        assert_eq!(optimized.pin(), pin, "{injection:?}: diverged from the pin");
         for &workers in WORKER_COUNTS {
             let parallel = rich_fingerprint(
                 injector_builder(injection)
@@ -330,14 +375,14 @@ fn parallel_matches_optimized_and_legacy_on_bursty_and_ramp_injection() {
             );
             assert_eq!(
                 parallel, optimized,
-                "{injection:?}: parallel({workers}) diverged from the sequential kernels"
+                "{injection:?}: parallel({workers}) diverged from the optimized kernel"
             );
         }
     }
 }
 
 #[test]
-fn parallel_matches_optimized_and_legacy_on_a_multi_phase_transient() {
+fn parallel_matches_optimized_and_pins_on_a_multi_phase_transient() {
     // Three phases with a per-phase load override under PB routing, whose
     // every-cycle dissemination forbids the drain fast-forward — the
     // control-plane-heavy corner of the phase pipeline.
@@ -365,11 +410,9 @@ fn parallel_matches_optimized_and_legacy_on_a_multi_phase_transient() {
         rich_fingerprint(cfg)
     };
     let optimized = run(KernelMode::Optimized);
-    assert_eq!(
-        optimized,
-        run(KernelMode::Legacy),
-        "sequential kernels diverge"
-    );
+    #[rustfmt::skip]
+    let pin: Pin = (1468, 1789, 14312, 973, 0, 0, 0x40531F6EE8FB1E0F, 0x400BF371B3450EA1, 0x4064000000000000, 0x3FDAFC8323932EBC, 0xE4700134E9256F5E, true);
+    assert_eq!(optimized.pin(), pin, "diverged from the pin");
     for &workers in WORKER_COUNTS {
         assert_eq!(
             run(KernelMode::Parallel { workers }),

@@ -12,14 +12,15 @@
 //!    `tests/common/golden_corpus.rs` fingerprints every mix × routing cell
 //!    on both topologies. The configurations do not set a [`KernelMode`],
 //!    so CI replays the table under every kernel bit-for-bit.
-//! 3. **Cross-kernel bit-identity** — optimized, legacy and parallel
-//!    (1, 2 and 4 workers) kernels compared directly on the same job sets.
+//! 3. **Cross-kernel bit-identity** — the optimized kernel and the
+//!    parallel kernel at 1, 2 and 4 workers compared directly on the same
+//!    job sets.
 //! 4. **Snapshot/resume mid-run (format v4)** — a snapshot taken with jobs
-//!    mid-collective resumes bit-identically under the same kernel and
-//!    across kernels, and re-snapshotting a restored network reproduces
+//!    mid-collective resumes bit-identically at the same and at another
+//!    worker count, and re-snapshotting a restored network reproduces
 //!    the bytes exactly.
 //! 5. **Interference** — the pinned 2-job cell's per-job completion time is
-//!    strictly worse shared than solo, under every kernel, and the
+//!    strictly worse shared than solo, at any worker count, and the
 //!    slowdown-vs-isolation report says so.
 //! 6. **Degenerate inputs** — zero-rank and single-rank collectives are
 //!    rejected at validation (and their lowerings cannot panic), a job
@@ -200,8 +201,6 @@ fn regenerate_multi_job_corpus() {
 #[test]
 fn job_sets_are_bit_identical_across_kernels() {
     let kernels = [
-        KernelMode::Optimized,
-        KernelMode::Legacy,
         KernelMode::Parallel { workers: 1 },
         KernelMode::Parallel { workers: 2 },
         KernelMode::Parallel { workers: 4 },
@@ -281,21 +280,19 @@ fn snapshot_mid_jobs_resumes_bit_identically() {
         "v4 round-trip is byte-identical"
     );
 
-    // kernel portability: finish the same snapshot under legacy and parallel
-    for kernel in [KernelMode::Legacy, KernelMode::Parallel { workers: 2 }] {
-        let mut k = cfg.clone();
-        k.kernel = kernel;
-        let mut n = Network::restore(k, &bytes).expect("snapshot restores under any kernel");
-        assert_eq!(
-            n.run_until_jobs_complete(200_000),
-            Some(done),
-            "{kernel:?} resumed to a different makespan"
-        );
-        assert_eq!(
-            n.metrics().delivered_packets_total(),
-            reference.metrics().delivered_packets_total()
-        );
-    }
+    // kernel portability: finish the same snapshot on two workers
+    let mut k = cfg.clone();
+    k.kernel = KernelMode::Parallel { workers: 2 };
+    let mut n = Network::restore(k, &bytes).expect("snapshot restores at any worker count");
+    assert_eq!(
+        n.run_until_jobs_complete(200_000),
+        Some(done),
+        "parallel(2) resumed to a different makespan"
+    );
+    assert_eq!(
+        n.metrics().delivered_packets_total(),
+        reference.metrics().delivered_packets_total()
+    );
 }
 
 #[test]
@@ -328,11 +325,6 @@ fn job_snapshot_rejects_configuration_disagreement() {
 
 #[test]
 fn pinned_interference_cell_is_strictly_worse_than_solo() {
-    let kernels = [
-        KernelMode::Optimized,
-        KernelMode::Legacy,
-        KernelMode::Parallel { workers: 4 },
-    ];
     let mut cfg = job_set_config(interference_jobs(), RoutingKind::Base);
     cfg.kernel = KernelMode::Optimized;
     let reference = run_interference(cfg.clone(), 200_000);
@@ -361,15 +353,16 @@ fn pinned_interference_cell_is_strictly_worse_than_solo() {
             .collect()
     };
     let expected = fingerprint(&reference);
-    for kernel in kernels {
-        let mut k = cfg.clone();
-        k.kernel = kernel;
-        assert_eq!(
-            fingerprint(&run_interference(k, 200_000)),
-            expected,
-            "interference comparison diverged on {kernel:?}"
-        );
-    }
+    // (shared, solo) elapsed cycles per job, pinned while a second,
+    // heap-queue/full-scan kernel still reproduced them bit for bit
+    assert_eq!(expected, [(Some(851), Some(783)), (Some(906), Some(775))]);
+    let mut k = cfg.clone();
+    k.kernel = KernelMode::Parallel { workers: 4 };
+    assert_eq!(
+        fingerprint(&run_interference(k, 200_000)),
+        expected,
+        "interference comparison diverged on four workers"
+    );
 
     // and survives a mid-run snapshot/resume byte-identically
     let mut first = Network::new(cfg.clone());
