@@ -2,7 +2,8 @@
 //! stall totals and packet latency for a set of task-layer collectives
 //! (all-to-all, both all-reduce algorithms, barriers, neighbor sweeps and
 //! a barrier-gated sequence) under each contention/credit-based routing
-//! mechanism. Prints the table and writes `COLLECTIVES.csv` into the
+//! mechanism. Each collective runs as a one-job set on an otherwise idle
+//! network (offered load 0). Prints the table and writes `COLLECTIVES.csv` into the
 //! working directory; every cell is seeded and deterministic, so the CSV
 //! reproduces bit-for-bit on any machine (CI regenerates it and diffs
 //! against the committed copy).
@@ -14,35 +15,50 @@
 
 use df_engine::Table;
 use df_routing::RoutingKind;
-use df_sim::{run_task_workload, SimulationConfig};
-use df_traffic::{AllReduceAlgorithm, CollectiveKind, PatternKind, RankPlacement, TaskWorkload};
+use df_sim::{run_job_set, SimulationConfig};
+use df_traffic::{
+    AllReduceAlgorithm, CollectiveKind, JobPlacement, JobSpec, PatternKind, TaskWorkload,
+};
 
 /// The workload mix: every collective kind, both all-reduce algorithms,
 /// both placements, and a barrier-gated sequence. Rank counts stay valid
 /// on every scale (the smallest topology has 72 nodes).
-fn workloads() -> Vec<TaskWorkload> {
+fn jobs() -> Vec<JobSpec> {
+    let spread = JobPlacement::group_spread(0);
+    let block = JobPlacement::block(0);
     vec![
-        TaskWorkload::single(CollectiveKind::AllToAll, 16, 2)
-            .with_placement(RankPlacement::GroupSpread),
-        TaskWorkload::single(CollectiveKind::AllReduce(AllReduceAlgorithm::Ring), 16, 2),
-        TaskWorkload::single(
-            CollectiveKind::AllReduce(AllReduceAlgorithm::RecursiveDoubling),
-            16,
-            2,
-        )
-        .with_placement(RankPlacement::GroupSpread),
-        TaskWorkload::single(CollectiveKind::Barrier, 32, 1)
-            .with_placement(RankPlacement::GroupSpread),
-        TaskWorkload::single(CollectiveKind::SweepNeighbors, 16, 4),
-        TaskWorkload {
-            ranks: 16,
-            placement: RankPlacement::GroupSpread,
-            sequence: vec![
-                CollectiveKind::Barrier,
+        JobSpec::new(
+            TaskWorkload::single(CollectiveKind::AllToAll, 16, 2),
+            spread,
+        ),
+        JobSpec::new(
+            TaskWorkload::single(CollectiveKind::AllReduce(AllReduceAlgorithm::Ring), 16, 2),
+            block,
+        ),
+        JobSpec::new(
+            TaskWorkload::single(
                 CollectiveKind::AllReduce(AllReduceAlgorithm::RecursiveDoubling),
-            ],
-            packets_per_message: 2,
-        },
+                16,
+                2,
+            ),
+            spread,
+        ),
+        JobSpec::new(TaskWorkload::single(CollectiveKind::Barrier, 32, 1), spread),
+        JobSpec::new(
+            TaskWorkload::single(CollectiveKind::SweepNeighbors, 16, 4),
+            block,
+        ),
+        JobSpec::new(
+            TaskWorkload {
+                ranks: 16,
+                sequence: vec![
+                    CollectiveKind::Barrier,
+                    CollectiveKind::AllReduce(AllReduceAlgorithm::RecursiveDoubling),
+                ],
+                packets_per_message: 2,
+            },
+            spread,
+        ),
     ]
 }
 
@@ -75,23 +91,25 @@ fn main() {
             "avg_packet_latency",
         ],
     );
-    for workload in workloads() {
+    for job in jobs() {
+        let workload = &job.workload;
         for routing in ROUTINGS {
             let config = SimulationConfig::builder()
                 .topology(scale.topology)
                 .network(scale.network)
                 .routing(routing)
                 .pattern(PatternKind::Uniform)
-                .offered_load(0.2)
+                .offered_load(0.0)
                 .warmup_cycles(200)
                 .measurement_cycles(400)
                 .seed(11)
-                .workload(workload.clone())
+                .job(job.clone())
                 .build()
                 .expect("valid collective configuration");
-            let report = run_task_workload(config, 2_000_000);
+            let report = run_job_set(config, 2_000_000);
+            let run = &report.jobs[0];
             assert!(
-                report.completed,
+                run.completed,
                 "{} under {} must complete within the cycle budget",
                 workload.label(),
                 routing.label()
@@ -100,12 +118,12 @@ fn main() {
                 workload.label(),
                 routing.label().to_string(),
                 workload.ranks.to_string(),
-                report.total_steps.to_string(),
-                report.completion_cycle.expect("completed").to_string(),
+                workload.total_steps().to_string(),
+                run.completion_cycle.expect("completed").to_string(),
                 report.delivered_packets.to_string(),
-                report.total_stall_cycles.to_string(),
-                report.max_rank_stall_cycles.to_string(),
-                format!("{:.2}", report.mean_rank_stall_cycles),
+                run.total_stall_cycles.to_string(),
+                run.max_rank_stall_cycles.to_string(),
+                format!("{:.2}", run.mean_rank_stall_cycles),
                 format!("{:.3}", report.avg_packet_latency),
             ]);
         }

@@ -3,9 +3,7 @@
 use df_model::NetworkConfig;
 use df_routing::{RoutingConfig, RoutingKind};
 use df_topology::{DragonflyParams, TopologyParams};
-use df_traffic::{
-    validate_job_disjointness, InjectionKind, JobSpec, PatternKind, TaskWorkload, TrafficSchedule,
-};
+use df_traffic::{validate_job_disjointness, InjectionKind, JobSpec, PatternKind, TrafficSchedule};
 use serde::{Deserialize, Serialize};
 
 use crate::churn::ChurnModel;
@@ -122,7 +120,8 @@ pub enum ConfigError {
     Faults(String),
     /// The attached churn model is invalid.
     Churn(String),
-    /// The `workload` field does not fit the topology.
+    /// A job of the `jobs` field does not fit the topology, or two jobs
+    /// overlap.
     Workload(String),
     /// One phase of the `schedule` field is invalid.
     SchedulePhase {
@@ -186,17 +185,12 @@ pub struct SimulationConfig {
     pub injection: InjectionKind,
     /// Timed link/router fault events (empty for healthy-network runs).
     pub faults: FaultPlan,
-    /// Optional rank-level task workload. When set, nodes stop running their
-    /// stochastic injectors and instead execute the workload's
-    /// dependency-gated collective sequence (see `df_sim::task`); when
-    /// `None`, the task layer is completely inert and the run is a plain
-    /// packet-level experiment.
-    pub workload: Option<TaskWorkload>,
-    /// Concurrent multi-job traffic: several collective applications with
-    /// node-disjoint placements sharing the network. Unlike `workload`,
-    /// jobs layer *over* the stochastic injectors — collectives run under
-    /// background load. Mutually exclusive with `workload`; empty means no
-    /// job layer at all.
+    /// Concurrent multi-job traffic: collective applications with
+    /// node-disjoint placements sharing the network (see `df_sim::task`).
+    /// Jobs layer *over* the stochastic injectors, so collectives run under
+    /// whatever background `offered_load` sets; a collective on an idle
+    /// network is a one-job set at load 0. Empty means no job layer at all
+    /// and a plain packet-level experiment.
     #[serde(default)]
     pub jobs: Vec<JobSpec>,
     /// Offered load in phits/(node·cycle).
@@ -249,21 +243,7 @@ impl SimulationConfig {
         }
         let topo = self.topology.build();
         self.faults.validate(&topo).map_err(ConfigError::Faults)?;
-        if let Some(workload) = &self.workload {
-            let groups = self.topology.num_groups();
-            let nodes_per_group = self.topology.nodes_per_group();
-            workload
-                .validate(groups, nodes_per_group)
-                .map_err(ConfigError::Workload)?;
-        }
         if !self.jobs.is_empty() {
-            if self.workload.is_some() {
-                return Err(ConfigError::Workload(
-                    "a single task workload and a job set are mutually exclusive \
-                     (wrap the workload in a JobSpec to combine them)"
-                        .into(),
-                ));
-            }
             let groups = self.topology.num_groups();
             let nodes_per_group = self.topology.nodes_per_group();
             for (i, job) in self.jobs.iter().enumerate() {
@@ -311,7 +291,6 @@ pub struct SimulationConfigBuilder {
     injection: InjectionKind,
     faults: FaultPlan,
     churn: Option<ChurnModel>,
-    workload: Option<TaskWorkload>,
     jobs: Vec<JobSpec>,
     offered_load: f64,
     seed: u64,
@@ -331,7 +310,6 @@ impl Default for SimulationConfigBuilder {
             injection: InjectionKind::Bernoulli,
             faults: FaultPlan::new(),
             churn: None,
-            workload: None,
             jobs: Vec::new(),
             offered_load: 0.1,
             seed: 0,
@@ -389,14 +367,13 @@ impl SimulationConfigBuilder {
     }
 
     /// Apply a declarative [`Scenario`]: its phases become the traffic
-    /// schedule, and its injection process, fault plan and task workload
-    /// replace the current ones.
+    /// schedule, and its injection process, fault plan and job set replace
+    /// the current ones.
     pub fn scenario(mut self, scenario: &Scenario) -> Self {
         self.schedule = scenario.schedule();
         self.injection = scenario.injection;
         self.faults = scenario.fault_plan().clone();
         self.churn = scenario.churn_model().cloned();
-        self.workload = scenario.workload().cloned();
         self.jobs = scenario.jobs().to_vec();
         self
     }
@@ -415,13 +392,6 @@ impl SimulationConfigBuilder {
     /// never on the run's traffic seed, routing or kernel.
     pub fn churn(mut self, churn: ChurnModel) -> Self {
         self.churn = Some(churn);
-        self
-    }
-
-    /// Attach a rank-level task workload: nodes hosting ranks execute its
-    /// collective sequence instead of running their stochastic injectors.
-    pub fn workload(mut self, workload: TaskWorkload) -> Self {
-        self.workload = Some(workload);
         self
     }
 
@@ -500,7 +470,6 @@ impl SimulationConfigBuilder {
             schedule: self.schedule,
             injection: self.injection,
             faults,
-            workload: self.workload,
             jobs: self.jobs,
             offered_load: self.offered_load,
             seed: self.seed,

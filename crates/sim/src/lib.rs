@@ -18,10 +18,11 @@
 //! * [`runner`] — the crash-recoverable sweep service: journaled cell
 //!   completions plus periodic [`network::snapshot`] checkpoints in a run
 //!   directory, resumable to a byte-identical results table,
-//! * [`task`] — the collective task layer: ranks executing message-gated
-//!   communication scripts (all-reduce, all-to-all, barriers) on top of
-//!   the packet engine, with application completion time and rank stall
-//!   accounting ([`task::TaskEngine`]),
+//! * [`task`] — the collective task layer: jobs whose ranks execute
+//!   message-gated communication scripts (all-reduce, all-to-all, barriers)
+//!   on top of the packet engine and its background load, with completion
+//!   time and rank stall accounting ([`task::JobsEngine`]; a collective on
+//!   an idle network is a one-job set at offered load 0),
 //! * [`telemetry`] — streaming per-window statistics and automatic
 //!   steady-state detection ([`StreamingTelemetry`]),
 //! * [`metrics`], [`events`], [`node`] — supporting machinery.
@@ -82,7 +83,7 @@ pub use sweep::{
     run_matrix_budgeted, run_sweep, split_thread_budget, MatrixCell, MatrixKey, ScenarioMatrix,
 };
 pub use task::{
-    run_interference, run_job_set, run_task_workload, InterferenceReport, JobReport, JobSetReport,
-    JobsEngine, TaskEngine, TaskReport,
+    run_interference, run_job_set, InterferenceReport, JobReport, JobSetReport, JobsEngine,
+    TaskEngine,
 };
 pub use telemetry::{StreamingTelemetry, WindowStats};

@@ -25,12 +25,11 @@
 //! * the pending link events in exact drain order,
 //! * the fault cursor, link-availability mask, lost-credit ledger,
 //!   node-failure flags and the gateway-liveness truth/flooded views,
-//! * the task engine's execution state (rank cursors, outstanding sends,
-//!   receive counters, compute-readiness clocks and the pending-packet
-//!   table) when the configuration carries a collective workload — a
-//!   snapshot can land mid-collective and resume bit-identically,
-//! * the multi-job engine's execution state (one task section per job, in
-//!   specification order) when the configuration carries a job set.
+//! * the job engine's execution state when the configuration carries a job
+//!   set: one task section per job, in specification order (rank cursors,
+//!   outstanding sends, receive counters, compute-readiness clocks and the
+//!   pending-packet table) — a snapshot can land mid-collective and resume
+//!   bit-identically.
 //!
 //! **Not** stored (derived on restore): topology, routing tables/patterns,
 //! derived occupancy counters, the activity gate (recomputed as the sorted
@@ -56,8 +55,10 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"DFSIMSNP";
 /// version 4 adds the per-rank compute-delay readiness clocks to the task
 /// section and appends the multi-job engine's execution state (one task
 /// section per job) so a snapshot can land mid-collective in any job of a
-/// concurrent mix.
-pub const SNAPSHOT_VERSION: u32 = 4;
+/// concurrent mix; version 5 drops the single-workload task section (a
+/// collective on an idle network is a one-job set, so the job section is
+/// the only task state).
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Fingerprint of a configuration, used to pair snapshots with the
 /// configuration they were taken under. The kernel mode is normalised away:
@@ -216,13 +217,8 @@ impl Network {
         for &s in &self.spare_of {
             e.u32(s);
         }
-        // task layer (presence is configuration-determined; the flag guards
+        // job layer (presence is configuration-determined; the flag guards
         // against payload drift)
-        e.bool(self.task.is_some());
-        if let Some(task) = &self.task {
-            task.save_state(&mut e);
-        }
-        // multi-job layer (same presence discipline as the task layer)
         e.bool(self.jobs.is_some());
         if let Some(jobs) = &self.jobs {
             jobs.save_state(&mut e);
@@ -394,16 +390,6 @@ impl Network {
         }
         for s in &mut net.spare_of {
             *s = d.u32()?;
-        }
-        let has_task = d.bool()?;
-        match (&mut net.task, has_task) {
-            (Some(task), true) => task.restore_state(&mut d)?,
-            (None, false) => {}
-            _ => {
-                return Err(CodecError::Invalid(
-                    "snapshot task-layer presence disagrees with the configuration".into(),
-                ))
-            }
         }
         let has_jobs = d.bool()?;
         match (&mut net.jobs, has_jobs) {
@@ -607,6 +593,14 @@ mod tests {
         assert!(matches!(
             Network::restore(cfg.clone(), &skewed),
             Err(CodecError::UnsupportedVersion { .. })
+        ));
+        // a frame of the previous format version is refused before any
+        // payload byte is read
+        let mut v4 = bytes.clone();
+        v4[8..12].copy_from_slice(&4u32.to_le_bytes());
+        assert!(matches!(
+            Network::restore(cfg.clone(), &v4),
+            Err(CodecError::UnsupportedVersion { found: 4, .. })
         ));
 
         // different configuration (fingerprint mismatch)

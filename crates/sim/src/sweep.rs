@@ -158,7 +158,8 @@ pub struct ScenarioMatrix {
     pub base: SimulationConfig,
     /// Workloads (rows of the result table).
     pub scenarios: Vec<Scenario>,
-    /// Offered loads in phits/(node·cycle).
+    /// Offered loads in phits/(node·cycle): the stochastic background under
+    /// a scenario's job set, where 0.0 means an idle network.
     pub loads: Vec<f64>,
     /// Routing mechanisms.
     pub routings: Vec<RoutingKind>,
@@ -213,7 +214,6 @@ impl ScenarioMatrix {
                     config.schedule = scenario.schedule();
                     config.injection = scenario.injection;
                     config.faults = faults.clone();
-                    config.workload = scenario.workload().cloned();
                     config.jobs = scenario.jobs().to_vec();
                     config.offered_load = load;
                     config.routing = routing;

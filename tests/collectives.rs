@@ -1,13 +1,14 @@
 //! Collective task-layer suite: rank-level workloads (all-to-all,
-//! all-reduce, barriers, neighbour sweeps) executed on the packet engine.
+//! all-reduce, barriers, neighbour sweeps) executed on the packet engine,
+//! each as a one-job set on an idle network (offered load 0).
 //!
 //! Extends every correctness contract of the simulator to the task layer:
 //!
 //! 1. **Completion** — every collective completes under every contention
 //!    mechanism, reporting an application completion time, a per-step
-//!    timeline and rank stall cycles, with exact packet conservation
-//!    (workload mode generates no stochastic traffic, so injected ==
-//!    delivered == the workload's lowered packet count).
+//!    timeline and rank stall cycles, with exact packet conservation (at
+//!    load 0 the background generates nothing, so injected == delivered ==
+//!    the workload's lowered packet count).
 //! 2. **The pinned corpus** — `GOLDEN_COLLECTIVES` in
 //!    `tests/common/golden_corpus.rs` fingerprints every workload ×
 //!    routing cell. The configurations deliberately do not set a
@@ -42,7 +43,7 @@ use contention_dragonfly::prelude::*;
 mod golden_corpus;
 
 use golden_corpus::{
-    collective_config, collective_fingerprint, collective_routings, collective_workloads,
+    collective_config, collective_fingerprint, collective_jobs, collective_routings,
     GOLDEN_COLLECTIVES,
 };
 
@@ -52,26 +53,31 @@ use golden_corpus::{
 
 #[test]
 fn every_collective_completes_under_every_mechanism() {
-    for workload in collective_workloads() {
+    for job in collective_jobs() {
+        let workload = &job.workload;
         let total_packets = workload.total_packets();
         let total_steps = workload.total_steps();
         for routing in collective_routings() {
-            let cfg = collective_config(workload.clone(), routing);
-            let report = run_task_workload(cfg, 200_000);
+            let mut net = Network::new(collective_config(job.clone(), routing));
+            net.metrics_mut().start_measurement(0);
+            let done = net.run_until_jobs_complete(200_000);
             let label = format!("{} under {}", workload.label(), routing.label());
-            assert!(report.completed, "{label} did not complete");
-            assert_eq!(report.total_steps, total_steps, "{label}: step count");
+            assert!(done.is_some(), "{label} did not complete");
+            let task = net.jobs().expect("job configured").engine(0);
+            assert_eq!(task.total_steps(), total_steps, "{label}: step count");
             assert_eq!(
-                report.steps_completed, total_steps,
+                task.steps_completed(),
+                total_steps,
                 "{label}: unfinished steps"
             );
             assert_eq!(
-                report.delivered_packets, total_packets,
-                "{label}: workload mode must deliver exactly the lowered packets"
+                net.metrics().delivered_packets_total(),
+                total_packets,
+                "{label}: an idle network must deliver exactly the lowered packets"
             );
             // the step timeline is monotone and ends at the completion cycle
-            let cycles: Vec<u64> = report
-                .step_completion_cycles
+            let cycles: Vec<u64> = task
+                .step_completion_cycles()
                 .iter()
                 .map(|c| c.expect("every step completed"))
                 .collect();
@@ -81,35 +87,42 @@ fn every_collective_completes_under_every_mechanism() {
             );
             assert_eq!(
                 cycles.last().copied(),
-                report.completion_cycle,
+                done,
                 "{label}: the last step completes at the application completion time"
             );
             // messages traverse a real network: some rank must have waited
             assert!(
-                report.total_stall_cycles > 0,
+                task.stall_cycles().iter().sum::<u64>() > 0,
                 "{label}: rank stalls cannot all be zero"
             );
-            assert!(report.avg_packet_latency > 0.0, "{label}: latency");
+            assert!(
+                net.metrics().window_summary().avg_packet_latency > 0.0,
+                "{label}: latency"
+            );
         }
     }
 }
 
 #[test]
-fn workload_mode_replaces_stochastic_generation_entirely() {
-    let workload = TaskWorkload::single(CollectiveKind::AllToAll, 8, 2)
-        .with_placement(RankPlacement::GroupSpread);
-    let total = workload.total_packets();
-    let cfg = collective_config(workload, RoutingKind::Base);
+fn a_job_set_at_load_zero_generates_exactly_its_job_packets() {
+    let job = JobSpec::new(
+        TaskWorkload::single(CollectiveKind::AllToAll, 8, 2),
+        JobPlacement::group_spread(0),
+    );
+    let total = job.workload.total_packets();
+    let cfg = collective_config(job, RoutingKind::Base);
+    assert_eq!(cfg.offered_load, 0.0);
     let mut net = Network::new(cfg);
-    net.run_until_tasks_complete(200_000)
+    net.run_until_jobs_complete(200_000)
         .expect("all-to-all completes");
-    // offered load 0.2 would have generated thousands of packets in that
-    // span — workload mode must inject only the lowered task packets
+    // the background injectors ran every cycle but, at load 0, never fired:
+    // only the lowered job packets exist, with consecutive ids from 0
     assert_eq!(net.injected_packets_total(), total);
     assert_eq!(net.metrics().delivered_packets_total(), total);
     assert_eq!(net.in_flight(), 0);
-    let task = net.task().expect("workload configured");
-    assert_eq!(task.pending_packets(), 0);
+    let jobs = net.jobs().expect("job configured");
+    assert_eq!(jobs.pending_packets(), 0);
+    let task = jobs.engine(0);
     assert_eq!(
         net.metrics().task_steps_completed(),
         task.total_steps() as u64
@@ -121,25 +134,26 @@ fn workload_mode_replaces_stochastic_generation_entirely() {
 }
 
 #[test]
-fn workload_rides_the_scenario_matrix_axis() {
-    let workload = TaskWorkload::single(CollectiveKind::Barrier, 8, 1);
+fn collective_jobs_ride_the_scenario_matrix_at_zero_load() {
+    let job = JobSpec::new(
+        TaskWorkload::single(CollectiveKind::Barrier, 8, 1),
+        JobPlacement::block(0),
+    );
     let scenario = Scenario::named("barrier-x8")
         .hold(PatternKind::Uniform)
-        .task_workload(workload.clone());
-    let base = collective_config(workload, RoutingKind::Base);
+        .job(job.clone());
+    let base = collective_config(job.clone(), RoutingKind::Base);
     let matrix = ScenarioMatrix {
         scenarios: vec![scenario],
-        loads: vec![0.2],
+        loads: vec![0.0],
         routings: vec![RoutingKind::Base, RoutingKind::Ectn],
         ..ScenarioMatrix::new(base)
     };
     let cells = matrix.cells();
     assert_eq!(cells.len(), 2);
     for (key, cfg) in cells {
-        assert!(
-            cfg.workload.is_some(),
-            "cell {key:?} lost the scenario's workload"
-        );
+        assert_eq!(cfg.jobs, vec![job.clone()], "cell {key:?} lost the job");
+        assert_eq!(cfg.offered_load, 0.0, "cell {key:?}: idle background");
         cfg.validate().expect("matrix cells stay valid");
     }
 }
@@ -151,9 +165,10 @@ fn workload_rides_the_scenario_matrix_axis() {
 #[test]
 fn golden_collective_corpus() {
     let mut expected = GOLDEN_COLLECTIVES.iter();
-    for workload in collective_workloads() {
+    for job in collective_jobs() {
+        let workload = &job.workload;
         for routing in collective_routings() {
-            let cfg = collective_config(workload.clone(), routing);
+            let cfg = collective_config(job.clone(), routing);
             let got = collective_fingerprint(cfg);
             let &(ew, er, done, delivered, stalls, lat) =
                 expected.next().expect("one row per workload x routing");
@@ -182,13 +197,13 @@ fn regenerate_collective_corpus() {
     println!(
         "    // (workload, routing, completion_cycle, delivered, rank_stall_cycles, latency_bits)"
     );
-    for workload in collective_workloads() {
+    for job in collective_jobs() {
         for routing in collective_routings() {
-            let cfg = collective_config(workload.clone(), routing);
+            let cfg = collective_config(job.clone(), routing);
             let (done, delivered, stalls, lat) = collective_fingerprint(cfg);
             println!(
                 "    ({:?}, {:?}, {done}, {delivered}, {stalls}, {lat:#018X}),",
-                workload.label(),
+                job.workload.label(),
                 routing.label()
             );
         }
@@ -221,18 +236,27 @@ fn collectives_are_bit_identical_across_kernels() {
         KernelMode::Parallel { workers: 4 },
     ];
     let mut expected = PINNED_CROSS_KERNEL.iter();
-    for workload in [
-        TaskWorkload::single(CollectiveKind::AllToAll, 8, 2)
-            .with_placement(RankPlacement::GroupSpread),
-        TaskWorkload::single(CollectiveKind::AllReduce(AllReduceAlgorithm::Ring), 8, 2),
-        TaskWorkload::single(
-            CollectiveKind::AllReduce(AllReduceAlgorithm::RecursiveDoubling),
-            12,
-            2,
+    for job in [
+        JobSpec::new(
+            TaskWorkload::single(CollectiveKind::AllToAll, 8, 2),
+            JobPlacement::group_spread(0),
+        ),
+        JobSpec::new(
+            TaskWorkload::single(CollectiveKind::AllReduce(AllReduceAlgorithm::Ring), 8, 2),
+            JobPlacement::block(0),
+        ),
+        JobSpec::new(
+            TaskWorkload::single(
+                CollectiveKind::AllReduce(AllReduceAlgorithm::RecursiveDoubling),
+                12,
+                2,
+            ),
+            JobPlacement::block(0),
         ),
     ] {
+        let workload = &job.workload;
         for routing in [RoutingKind::Base, RoutingKind::PiggyBacking] {
-            let mut cfg = collective_config(workload.clone(), routing);
+            let mut cfg = collective_config(job.clone(), routing);
             cfg.kernel = KernelMode::Optimized;
             let reference = collective_fingerprint(cfg.clone());
             let &(ew, er, ed, edel, es, el) = expected.next().expect("one row per cell");
@@ -264,24 +288,26 @@ fn collectives_are_bit_identical_across_kernels() {
 
 #[test]
 fn snapshot_mid_collective_resumes_bit_identically() {
-    let workload = TaskWorkload::single(CollectiveKind::AllReduce(AllReduceAlgorithm::Ring), 8, 2)
-        .with_placement(RankPlacement::GroupSpread);
-    let cfg = collective_config(workload, RoutingKind::PiggyBacking);
+    let job = JobSpec::new(
+        TaskWorkload::single(CollectiveKind::AllReduce(AllReduceAlgorithm::Ring), 8, 2),
+        JobPlacement::group_spread(0),
+    );
+    let cfg = collective_config(job, RoutingKind::PiggyBacking);
 
     // uninterrupted reference
     let mut reference = Network::new(cfg.clone());
     reference.metrics_mut().start_measurement(0);
     let done = reference
-        .run_until_tasks_complete(200_000)
+        .run_until_jobs_complete(200_000)
         .expect("reference completes");
 
     // interrupted run: snapshot halfway, with the script partially executed
     let mut first = Network::new(cfg.clone());
     first.metrics_mut().start_measurement(0);
     first.run_cycles(done / 2);
-    let task = first.task().expect("workload configured");
+    let jobs = first.jobs().expect("job configured");
     assert!(
-        task.pending_packets() > 0 && !task.is_complete(),
+        jobs.pending_packets() > 0 && !jobs.is_complete(),
         "checkpoint must land mid-collective for this test to bite"
     );
     let bytes = first.snapshot();
@@ -289,7 +315,7 @@ fn snapshot_mid_collective_resumes_bit_identically() {
 
     let mut resumed = Network::restore(cfg.clone(), &bytes).expect("snapshot restores");
     let resumed_done = resumed
-        .run_until_tasks_complete(200_000)
+        .run_until_jobs_complete(200_000)
         .expect("resumed run completes");
     assert_eq!(resumed_done, done, "completion cycle must match");
     assert_eq!(
@@ -297,8 +323,8 @@ fn snapshot_mid_collective_resumes_bit_identically() {
         reference.metrics().delivered_packets_total()
     );
     assert_eq!(
-        resumed.task().unwrap().stall_cycles(),
-        reference.task().unwrap().stall_cycles(),
+        resumed.jobs().unwrap().engine(0).stall_cycles(),
+        reference.jobs().unwrap().engine(0).stall_cycles(),
         "per-rank stall totals must match"
     );
     assert_eq!(
@@ -309,12 +335,14 @@ fn snapshot_mid_collective_resumes_bit_identically() {
     let restored = Network::restore(cfg.clone(), &bytes).expect("snapshot restores");
     assert_eq!(restored.snapshot(), bytes);
 
-    // kernel portability: finish the same snapshot on two workers
+    // kernel portability: finish the same snapshot on two workers, and
+    // re-snapshot it there byte-identically
     let mut k = cfg.clone();
     k.kernel = KernelMode::Parallel { workers: 2 };
     let mut n = Network::restore(k, &bytes).expect("snapshot restores at any worker count");
+    assert_eq!(n.snapshot(), bytes);
     assert_eq!(
-        n.run_until_tasks_complete(200_000),
+        n.run_until_jobs_complete(200_000),
         Some(done),
         "parallel(2) resumed to a different completion cycle"
     );
@@ -330,33 +358,35 @@ fn snapshot_mid_collective_resumes_bit_identically() {
 
 #[test]
 fn router_drain_mid_collective_delays_but_completes() {
-    let workload = TaskWorkload::single(CollectiveKind::AllToAll, 8, 2)
-        .with_placement(RankPlacement::GroupSpread);
+    let job = JobSpec::new(
+        TaskWorkload::single(CollectiveKind::AllToAll, 8, 2),
+        JobPlacement::group_spread(0),
+    );
     for routing in [RoutingKind::Base, RoutingKind::Ectn] {
-        let healthy = run_task_workload(collective_config(workload.clone(), routing), 200_000);
-        let done = healthy.completion_cycle.expect("healthy run completes");
+        let healthy = run_job_set(collective_config(job.clone(), routing), 200_000);
+        let done = healthy.makespan.expect("healthy run completes");
 
         // drain router 0 (hosting ranks) through the middle of the run: its
         // nodes pause, nothing is lost, and the collective finishes late
-        let mut cfg = collective_config(workload.clone(), routing);
+        let mut cfg = collective_config(job.clone(), routing);
         cfg.faults = FaultPlan::new()
             .router_drain(done / 4, RouterId(0))
             .router_restore(done + 50, RouterId(0));
         cfg.validate().expect("fault plan is valid");
-        let faulted = run_task_workload(cfg, 400_000);
+        let faulted = run_job_set(cfg, 400_000);
         assert!(
-            faulted.completed,
+            faulted.all_completed,
             "a drain cannot lose task packets, so the collective must finish ({})",
             routing.label()
         );
         assert!(
-            faulted.completion_cycle.unwrap() > done,
+            faulted.makespan.unwrap() > done,
             "pausing rank hosts must delay completion ({})",
             routing.label()
         );
         assert_eq!(faulted.delivered_packets, healthy.delivered_packets);
         assert!(
-            faulted.total_stall_cycles >= healthy.total_stall_cycles,
+            faulted.jobs[0].total_stall_cycles >= healthy.jobs[0].total_stall_cycles,
             "peers wait for the drained ranks ({})",
             routing.label()
         );
@@ -368,18 +398,21 @@ fn failed_rank_stalls_peers_without_hanging_or_lying() {
     // permanently fail rank 3's node before it can run: the collective can
     // never finish, the budgeted runner must say so, and progress must be
     // exactly the steps that don't depend on the dead rank
-    let workload = TaskWorkload::single(CollectiveKind::AllReduce(AllReduceAlgorithm::Ring), 8, 2);
-    let mut cfg = collective_config(workload, RoutingKind::Base);
+    let job = JobSpec::new(
+        TaskWorkload::single(CollectiveKind::AllReduce(AllReduceAlgorithm::Ring), 8, 2),
+        JobPlacement::block(0),
+    );
+    let mut cfg = collective_config(job, RoutingKind::Base);
     // block placement: rank 3 lives on node 3
     cfg.faults = FaultPlan::new().node_fail(10, NodeId(3), NodeId(70));
     cfg.validate().expect("fault plan is valid");
     let mut net = Network::new(cfg);
     assert_eq!(
-        net.run_until_tasks_complete(20_000),
+        net.run_until_jobs_complete(20_000),
         None,
         "a dead rank must not complete"
     );
-    let task = net.task().expect("workload configured");
+    let task = net.jobs().expect("job configured").engine(0);
     assert!(!task.is_complete());
     assert!(
         task.steps_completed() < task.total_steps(),

@@ -15,7 +15,7 @@
 //! 3. **Cross-kernel bit-identity** — the optimized kernel and the
 //!    parallel kernel at 1, 2 and 4 workers compared directly on the same
 //!    job sets.
-//! 4. **Snapshot/resume mid-run (format v4)** — a snapshot taken with jobs
+//! 4. **Snapshot/resume mid-run** — a snapshot taken with jobs
 //!    mid-collective resumes bit-identically at the same and at another
 //!    worker count, and re-snapshotting a restored network reproduces
 //!    the bytes exactly.
@@ -460,30 +460,6 @@ fn overlapping_job_placements_are_a_build_time_config_error() {
     match err {
         ConfigError::Workload(msg) => {
             assert!(msg.contains("node 4"), "error names the node: {msg}");
-        }
-        other => panic!("expected a Workload error, got {other:?}"),
-    }
-}
-
-#[test]
-fn workload_and_jobs_are_mutually_exclusive() {
-    let w = TaskWorkload::single(CollectiveKind::Barrier, 8, 1);
-    let err = SimulationConfig::builder()
-        .topology(DragonflyParams::small())
-        .network(NetworkConfig::fast_test())
-        .routing(RoutingKind::Base)
-        .pattern(PatternKind::Uniform)
-        .offered_load(0.2)
-        .warmup_cycles(100)
-        .measurement_cycles(100)
-        .seed(1)
-        .workload(w.clone())
-        .job(JobSpec::new(w, JobPlacement::block(16)))
-        .build()
-        .unwrap_err();
-    match err {
-        ConfigError::Workload(msg) => {
-            assert!(msg.contains("mutually exclusive"), "got: {msg}");
         }
         other => panic!("expected a Workload error, got {other:?}"),
     }

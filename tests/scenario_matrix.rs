@@ -37,7 +37,7 @@ mod golden_corpus;
 use golden_corpus::{
     all_patterns, base_builder, churn_fingerprint, churn_routings, churn_scenarios,
     collective_fingerprint, fault_fingerprint, fault_routings, fault_scenarios, fingerprint,
-    megafly_base_builder, megafly_collective_config, megafly_collective_workloads,
+    megafly_base_builder, megafly_collective_config, megafly_collective_jobs,
     megafly_fault_routings, megafly_fault_scenarios, megafly_patterns, megafly_routings,
     special_scenarios, GOLDEN_CHURN, GOLDEN_FAULTS, GOLDEN_MEGAFLY, GOLDEN_MEGAFLY_COLLECTIVES,
     GOLDEN_MEGAFLY_FAULTS, GOLDEN_ROUTING_PATTERN, GOLDEN_SPECIAL,
@@ -236,9 +236,10 @@ fn golden_megafly_fault_corpus() {
 #[test]
 fn golden_megafly_collective_corpus() {
     let mut expected = GOLDEN_MEGAFLY_COLLECTIVES.iter();
-    for workload in megafly_collective_workloads() {
+    for job in megafly_collective_jobs() {
+        let workload = &job.workload;
         for routing in [RoutingKind::Base, RoutingKind::Ectn] {
-            let cfg = megafly_collective_config(workload.clone(), routing);
+            let cfg = megafly_collective_config(job.clone(), routing);
             let got = collective_fingerprint(cfg);
             let &(ew, er, edone, ed, estall, el) = expected
                 .next()
@@ -473,9 +474,10 @@ fn regenerate_golden_tables() {
     println!(
         "// megafly: (workload, routing, completion_cycle, delivered, rank_stall_cycles, latency_bits)"
     );
-    for workload in megafly_collective_workloads() {
+    for job in megafly_collective_jobs() {
+        let workload = &job.workload;
         for routing in [RoutingKind::Base, RoutingKind::Ectn] {
-            let cfg = megafly_collective_config(workload.clone(), routing);
+            let cfg = megafly_collective_config(job.clone(), routing);
             let (done, d, stall, l) = collective_fingerprint(cfg);
             println!(
                 "    (\"{}\", \"{}\", {}, {}, {}, {:#018X}),",
